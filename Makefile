@@ -14,8 +14,9 @@ doclint:
 # Fast sanity run (< 90 s): the CSR scaling benchmark at small N (asserts
 # the >= 5x speedup contract) plus small-N passes of both incremental
 # reward engines (equivalence checked; the speed contracts are pinned to
-# N=5k, so the small runs report without gating).  All respect
-# BENCH_SKIP_CONTRACT=1 on noisy shared runners.
+# N=5k, so the small runs report without gating), and a small real-shape
+# pass of the entropy screen (recall checked on wide sparse features, no
+# contract).  All respect BENCH_SKIP_CONTRACT=1 on noisy shared runners.
 bench-smoke:
 	$(PY) benchmarks/bench_scaling_rewire.py --sizes 1000 5000 --steps 5
 	$(PY) benchmarks/bench_incremental_reward.py --nodes 1500 --edits 2 --steps 6 --repeats 2
@@ -24,6 +25,7 @@ bench-smoke:
 	$(PY) benchmarks/bench_telemetry_overhead.py --steps 32 --iterations 50000
 	$(PY) benchmarks/bench_out_of_core.py --n 3000
 	$(PY) benchmarks/bench_streaming.py --nodes 800 --events 4 --steps 40 --repeats 2
+	$(PY) benchmarks/bench_entropy_screening.py --sizes --real squirrel:0.2 chameleon:0.25
 
 # Full trajectory including the 20k-node fast-path-only point.
 bench-scaling:
@@ -36,8 +38,10 @@ bench-rollout:
 	$(PY) benchmarks/bench_vec_rollout.py
 
 # Screen-then-rescore entropy engine vs the dense tiled builder at
-# N in {5k, 20k}; verifies exact top-k recall, asserts the >= 5x speedup
-# contract at N = 20k, and writes JSON into bench_results/.
+# N in {5k, 20k}, plus a real-shape leg on the squirrel (scale 0.4) and
+# chameleon stand-ins (wide sparse features, no contract); verifies exact
+# top-k recall, asserts the >= 5x speedup contract at N = 20k, and writes
+# JSON into bench_results/.
 bench-entropy:
 	$(PY) benchmarks/bench_entropy_screening.py
 

@@ -23,10 +23,19 @@ KL ablation row additionally times the unified length-sorted kernel
 against the generic ``(B, N, M)`` blocked rows it replaced (small sizes
 only; the generic path is quadratic in profile width).
 
+The planted graphs carry 32 feature columns.  A second, real-shape leg
+times and recall-checks both engines on the ``squirrel`` and
+``chameleon`` stand-ins (``--real NAME:SCALE``): hundreds to thousands of
+~2%-dense feature columns, the regime where exact pair rescoring cost
+depends on how feature rows are read.  It reports without a contract.
+
 CLI (used by ``make bench-entropy``):
 
     PYTHONPATH=src python benchmarks/bench_entropy_screening.py \
-        --sizes 5000 20000
+        --sizes 5000 20000 --real squirrel:0.4 chameleon:1.0
+
+``--sizes`` with no value skips the planted leg, ``--real`` with no value
+the real-shape one.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import numpy as np
 import pytest
 
 from repro.bench import format_table, save_results
-from repro.datasets import planted_partition_graph
+from repro.datasets import load_dataset, planted_partition_graph
 from repro.entropy import (
     RelativeEntropy,
     assert_rankings_match,
@@ -76,12 +85,10 @@ def verify_exact_recall(screened, dense, gap: float = TIE_GAP) -> int:
     return assert_rankings_match(screened, dense, gap=gap)
 
 
-def bench_one_size(n: int, mc: int = 16, seed: int = 0, verify: bool = True):
-    graph = make_graph(n, seed=seed)
-    entropy = RelativeEntropy.from_graph(graph, lam=1.0, max_profile_len=64)
-
-    # Best of two for the fast engine (its gather-heavy rescore is
-    # sensitive to allocator/page state); the dense pass is slow and
+def time_engines(graph, entropy, mc: int, verify: bool = True):
+    """Time the screened and dense builds of one graph and check recall."""
+    # Best of two for the fast engine (its per-block rescore temporaries
+    # are sensitive to allocator/page state); the dense pass is slow and
     # stable, one run is representative.
     t_screen = np.inf
     for _ in range(2):
@@ -98,7 +105,7 @@ def bench_one_size(n: int, mc: int = 16, seed: int = 0, verify: bool = True):
     t_dense = time.perf_counter() - start
 
     out = {
-        "n": n,
+        "n": graph.num_nodes,
         "num_edges": graph.num_edges,
         "screened_s": t_screen,
         "dense_s": t_dense,
@@ -106,6 +113,13 @@ def bench_one_size(n: int, mc: int = 16, seed: int = 0, verify: bool = True):
     }
     if verify:
         out["positions_verified"] = verify_exact_recall(screened, dense)
+    return out
+
+
+def bench_one_size(n: int, mc: int = 16, seed: int = 0, verify: bool = True):
+    graph = make_graph(n, seed=seed)
+    entropy = RelativeEntropy.from_graph(graph, lam=1.0, max_profile_len=64)
+    out = time_engines(graph, entropy, mc, verify=verify)
 
     # KL ablation: unified length-sorted kernel vs the generic blocked rows
     # it replaced (the old structural_mode="kl" fallback path).
@@ -125,6 +139,48 @@ def bench_one_size(n: int, mc: int = 16, seed: int = 0, verify: bool = True):
 
 def run_scaling(sizes, mc: int = 16, seed: int = 0):
     return [bench_one_size(n, mc=mc, seed=seed) for n in sizes]
+
+
+def bench_real(name: str, scale: float, mc: int = 16, seed: int = 0):
+    """Both engines on a dataset stand-in, with ``repro run``'s entropy
+    settings (``lam=1``, profiles capped at 64)."""
+    graph = load_dataset(name, scale=scale, seed=seed)
+    entropy = RelativeEntropy.from_graph(graph, lam=1.0, max_profile_len=64)
+    out = time_engines(graph, entropy, mc)
+    out.update(
+        dataset=name, scale=scale, num_features=int(graph.features.shape[1])
+    )
+    return out
+
+
+def parse_real(spec: str):
+    """``"squirrel:0.4"`` -> ``("squirrel", 0.4)``; the scale defaults to 1."""
+    name, _, scale = spec.partition(":")
+    return name, float(scale or 1.0)
+
+
+def print_real_report(results) -> None:
+    rows = [
+        [
+            f"{r['dataset']}@{r['scale']:g}",
+            f"{r['n']:,}",
+            f"{r['num_features']:,}",
+            f"{r['num_edges']:,}",
+            f"{1000 * r['screened_s']:.0f}",
+            f"{1000 * r['dense_s']:.0f}",
+            f"{r['speedup']:.1f}x",
+            f"{r['positions_verified']:,}",
+        ]
+        for r in results
+    ]
+    print(
+        format_table(
+            "Real-shape leg: wide ~2%-dense features (ms, no contract)",
+            ["dataset", "N", "F", "|E|", "screened", "dense", "speedup",
+             "verified"],
+            rows,
+        )
+    )
 
 
 def print_report(results) -> None:
@@ -187,8 +243,12 @@ def test_entropy_screening_speedup():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[5_000, TARGET_N],
-        help="graph sizes to measure",
+        "--sizes", type=int, nargs="*", default=[5_000, TARGET_N],
+        help="planted graph sizes to measure",
+    )
+    parser.add_argument(
+        "--real", nargs="*", default=["squirrel:0.4", "chameleon:1.0"],
+        metavar="NAME:SCALE", help="dataset stand-ins for the real-shape leg",
     )
     parser.add_argument("--mc", type=int, default=16,
                         help="max_candidates retained per node")
@@ -198,11 +258,17 @@ def main(argv=None) -> int:
     tel = Telemetry(enabled=True)
     with use_telemetry(tel):
         results = run_scaling(args.sizes, mc=args.mc, seed=args.seed)
-    print_report(results)
-    path = save_results(
-        "bench_entropy_screening", {str(r["n"]): r for r in results},
-        telemetry=tel,
-    )
+        real = [
+            bench_real(name, scale, mc=args.mc, seed=args.seed)
+            for name, scale in map(parse_real, args.real)
+        ]
+    if results:
+        print_report(results)
+    if real:
+        print_real_report(real)
+    rows = {str(r["n"]): r for r in results}
+    rows.update((f"{r['dataset']}@{r['scale']:g}", r) for r in real)
+    path = save_results("bench_entropy_screening", rows, telemetry=tel)
     print(f"\nresults saved to {path}")
     check_contract(results)
     return 0

@@ -73,6 +73,18 @@ _TINY = 1e-300
 #: ``structural_entropy.kl_divergence_block``).
 _KL_EPS = 1e-12
 
+#: Row span of the float64 pair-logit GEMMs in
+#: :meth:`PairEntropyScorer.feature`: pairs are grouped by
+#: ``v // _PAIR_ROW_SPAN`` and each group multiplies one contiguous slice
+#: of at most this many embedding rows by its partner rows.
+_PAIR_ROW_SPAN = 256
+
+#: Spans whose pairs fill less than this fraction of their ``rows x cols``
+#: product are scored by per-pair row gathers instead: below it the GEMM
+#: computes more unused entries than a gather copies rows.  The measured
+#: break-even on a 2-core x86 sits at 1-3% across feature widths 32-2325.
+_PAIR_GEMM_MIN_DENSITY = 1 / 64
+
 #: float32 GEMM error allowance on the certified logit threshold.  Logits
 #: are cosine-like dot products in [-1, 1]; a float32 accumulation over the
 #: embedding dimension is accurate to ~1e-5, so 1e-4 is a safe superset
@@ -299,10 +311,12 @@ class PairEntropyScorer:
     """Vectorised exact ``H(v, u)`` for flat index arrays of node pairs.
 
     Equivalent to :meth:`RelativeEntropy.pairs` but built for bulk
-    rescoring: the structural divergence is decomposed around precomputed
+    rescoring.  Feature logits ``<z_v, z_u>`` come from float64 row-span
+    GEMMs (see :meth:`feature`) rather than per-pair copies of embedding
+    rows.  The structural divergence is decomposed around precomputed
     per-node terms so each pair only touches ``K = min(len_v, len_u)``
-    profile columns (pairs are processed in descending-``K`` buckets), and
-    the cross term runs on fused contiguous scratch.  For JS,
+    profile columns (pairs are split into a narrow and a wide width
+    bucket, see :meth:`structural`).  For JS,
 
         ``JS = 0.5 (S_v + S_u) - sum_{k<K} f((p_k + q_k) / 2)
                - T_v[K] - T_u[K]``
@@ -359,13 +373,85 @@ class PairEntropyScorer:
 
     # ------------------------------------------------------------------
     def feature(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Exact float64 feature entropy ``H_f`` for aligned pair arrays."""
-        logit = np.einsum("ij,ij->i", self.Z[v], self.Z[u])
+        """Exact float64 feature entropy ``H_f`` for aligned pair arrays.
+
+        Pairs are grouped by row span ``v // _PAIR_ROW_SPAN``.  Each group
+        multiplies its contiguous slice of ``Z`` (no copy) by the group's
+        unique partner rows ``Z[cols]`` and gathers every pair's logit
+        from the product.  ``cols`` is split into chunks so that each
+        ``Z[cols]`` copy and each product stays within ``chunk_elements``.
+        A span too sparse to pay for its product
+        (:data:`_PAIR_GEMM_MIN_DENSITY`) gathers its pairs' rows instead.
+        The logits equal the einsum of :meth:`RelativeEntropy.pairs` up to
+        float64 reassociation.
+        """
+        logit = self._logits(
+            np.asarray(v, dtype=np.int64), np.asarray(u, dtype=np.int64)
+        )
         logit -= self.log_denominator
         hf = np.exp(logit)
         hf *= logit
         hf *= -1.0 / self.feature_scale
         return hf
+
+    def _logits(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``<z_v, z_u>`` per pair from row-span GEMMs (see :meth:`feature`)."""
+        m = v.shape[0]
+        out = np.empty(m)
+        if not m:
+            return out
+        Z = self.Z
+        n, f = Z.shape
+        # Sorting by (span, partner) makes every span a contiguous run and
+        # every column chunk of it a contiguous sub-run.
+        order = np.argsort((v // _PAIR_ROW_SPAN) * n + u)
+        v, u = v[order], u[order]
+        span = v // _PAIR_ROW_SPAN
+        edges = np.flatnonzero(span[1:] != span[:-1]) + 1
+        vals = np.empty(m)
+        # One scratch block holds every partner-row copy and product.  It
+        # is sized past glibc's largest dynamic mmap threshold (32 MB), so
+        # it is mapped and unmapped whole: freeing mid-size copies instead
+        # raises that threshold and leaves later temporaries of the process
+        # on a heap that does not shrink (+17 MB peak RSS on a chameleon
+        # fit).  Pages never touched never count toward RSS.
+        scratch = np.empty(0)
+        for a, b in zip(np.r_[0, edges], np.r_[edges, m]):
+            rv, ru = v[a:b], u[a:b]
+            r0, r1 = int(rv.min()), int(rv.max()) + 1
+            rows = r1 - r0
+            new = np.empty(b - a, dtype=bool)
+            new[0] = True
+            np.not_equal(ru[1:], ru[:-1], out=new[1:])
+            cols = ru[new]
+            if b - a < _PAIR_GEMM_MIN_DENSITY * rows * cols.shape[0]:
+                step = max(1, self.chunk_elements // max(f, 1))
+                for s in range(a, b, step):
+                    t = min(b, s + step)
+                    vals[s:t] = np.einsum("ij,ij->i", Z[v[s:t]], Z[u[s:t]])
+                continue
+            inv = np.cumsum(new) - 1
+            step = max(1, self.chunk_elements // max(f, rows))
+            if scratch.shape[0] < step * (f + rows):
+                scratch = np.empty(max(step * (f + rows), 2 * self.chunk_elements))
+            cuts = np.searchsorted(inv, np.arange(0, cols.shape[0] + step, step))
+            for c, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+                c0 = c * step
+                part = cols[c0 : c0 + step]
+                k = part.shape[0]
+                # mode="clip" stops take from buffering ``out`` (the ids
+                # are in range, so clipping never changes one).
+                zc = np.take(
+                    Z, part, axis=0, mode="clip",
+                    out=scratch[: k * f].reshape(k, f),
+                )
+                prod = np.matmul(
+                    Z[r0:r1], zc.T,
+                    out=scratch[k * f : k * (f + rows)].reshape(rows, k),
+                )
+                vals[a + lo : a + hi] = prod[rv[lo:hi] - r0, inv[lo:hi] - c0]
+        out[order] = vals
+        return out
 
     def _structural_chunk(
         self, v: np.ndarray, u: np.ndarray, width: int
@@ -419,11 +505,7 @@ class PairEntropyScorer:
         """Exact ``H(v, u) = H_f + lam * (1 - divergence)`` per pair."""
         v = np.asarray(v, dtype=np.int64)
         u = np.asarray(u, dtype=np.int64)
-        out = np.empty(v.shape[0])
-        chunk = max(1, self.chunk_elements // max(self.Z.shape[1], 1))
-        for s in range(0, v.shape[0], chunk):
-            sl = slice(s, s + chunk)
-            out[sl] = self.feature(v[sl], u[sl])
+        out = self.feature(v, u)
         if self.lam > 0:
             out += self.lam
             div = self.structural(v, u)

@@ -21,6 +21,8 @@ what is per-tenant:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -29,8 +31,9 @@ import numpy as np
 from ..core import RareConfig
 from ..core.lru import LRUCache
 from ..core.rewire import clamp_state, rewire_graph
+from ..datasets import dataset_names
 from ..entropy import RelativeEntropy, build_entropy_sequences
-from ..gnn import Trainer, build_backbone
+from ..gnn import BACKBONES, Trainer, build_backbone
 from ..gnn.incremental import _masked_metrics
 from ..graph import Graph, geom_gcn_splits
 from ..rl.vector.stacked import StackedGraphBuilder
@@ -79,6 +82,53 @@ class SessionSpec:
     reference; incremental is ulp-level on edit halos (see
     ``docs/serving.md``)."""
     max_halo_frac: float = 0.5
+
+    def __post_init__(self) -> None:
+        """Reject, as ``bad_request``, any value no artifact can be built
+        from — before the build starts, so it never surfaces as
+        ``internal``."""
+        for name, kind in (
+            ("dataset", str), ("backbone", str), ("incremental", bool)
+        ):
+            if not isinstance(getattr(self, name), kind):
+                self._reject(name, f"must be a {kind.__name__}")
+        for name in ("seed", "num_nodes", "num_features", "hidden",
+                     "k_max", "d_max", "warmup_epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                self._reject(name, "must be an integer")
+        for name in ("scale", "lam", "max_halo_frac"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                self._reject(name, "must be a finite number")
+        synthetic = self.dataset == "synthetic"
+        for name, ok, rule in (
+            ("dataset", synthetic or self.dataset.lower() in dataset_names(),
+             f"must be 'synthetic' or one of {dataset_names()}"),
+            ("backbone", self.backbone.lower() in BACKBONES,
+             f"must be one of {sorted(BACKBONES)}"),
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("num_nodes", not synthetic or self.num_nodes >= 2,
+             "must be >= 2 for a synthetic graph"),
+            ("num_features", not synthetic or self.num_features >= 1,
+             "must be >= 1 for a synthetic graph"),
+            ("scale", 0 < self.scale <= 1, "must be in (0, 1]"),
+            ("hidden", self.hidden >= 1, "must be >= 1"),
+            ("lam", self.lam >= 0, "must be >= 0"),
+            ("k_max", self.k_max >= 0, "must be >= 0"),
+            ("d_max", self.d_max >= 0, "must be >= 0"),
+            ("warmup_epochs", self.warmup_epochs >= 0, "must be >= 0"),
+            ("max_halo_frac", 0 < self.max_halo_frac <= 1,
+             "must be in (0, 1]"),
+        ):
+            if not ok:
+                self._reject(name, rule)
+
+    def _reject(self, name: str, rule: str) -> None:
+        raise BadRequestError(
+            f"invalid spec: {name} {rule}, got {getattr(self, name)!r}"
+        )
 
     @classmethod
     def from_wire(cls, spec: Optional[Dict]) -> "SessionSpec":

@@ -94,7 +94,8 @@ class Histogram:
     ``buckets`` holds the inclusive upper bounds of each bucket; one
     overflow bucket is appended implicitly, so ``counts`` has
     ``len(buckets) + 1`` entries.  Quantiles are estimated by linear
-    interpolation inside the bucket the rank falls into — exact enough
+    interpolation inside the bucket the rank falls into, with the bucket
+    clipped to the observed ``[min, max]`` — exact enough
     for p50/p90/p99 reporting, and (unlike sampling) exactly mergeable
     across worker snapshots.
 
@@ -136,7 +137,8 @@ class Histogram:
             self.max = value
 
     def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (``0 <= q <= 1``) from the buckets."""
+        """Estimated ``q``-quantile (``0 <= q <= 1``) from the buckets,
+        always within the observed ``[min, max]``."""
         if self.count == 0:
             return 0.0
         rank = q * self.count
@@ -145,17 +147,17 @@ class Histogram:
             if c == 0:
                 continue
             if seen + c >= rank:
-                lo = self.buckets[i - 1] if i > 0 else (
-                    self.min if self.min is not None else 0.0
+                # Interpolate over the part of the bucket the samples
+                # reached: the estimate stays inside [min, max], and a
+                # constant series reports its value.
+                lo = self.min if i == 0 else max(self.buckets[i - 1], self.min)
+                hi = self.max if i == len(self.buckets) else min(
+                    self.buckets[i], self.max
                 )
-                hi = self.buckets[i] if i < len(self.buckets) else (
-                    self.max if self.max is not None else lo
-                )
-                lo = min(lo, hi)
                 frac = (rank - seen) / c
-                return lo + (hi - lo) * frac
+                return min(hi, lo + (hi - lo) * frac)
             seen += c
-        return self.max if self.max is not None else 0.0
+        return self.max
 
     def summary(self) -> Dict[str, float]:
         """The reporting summary: count, mean, extrema and p50/p90/p99."""

@@ -58,9 +58,10 @@ def test_screened_matches_dense(mode, num_nodes):
     assert_rankings_match(scr, dense)
     # Both engines use the exact flat scorer for neighbours, but the dense
     # path scores the whole edge list in one call while the screened path
-    # scores per shard — the scorer's percentile width-bucketing makes the
-    # values grouping-dependent at the ULP level, so compare to a few ULPs
-    # rather than byte-identical.
+    # scores per shard.  The call's pairs decide the scorer's structural
+    # width buckets and its feature GEMM shapes (row spans, partner
+    # columns, gather fallback), so values are grouping-dependent at the
+    # ULP level: compare to a few ULPs rather than byte-identical.
     for a, b in zip(scr.neighbors, dense.neighbors):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(scr.neighbor_scores, dense.neighbor_scores):
@@ -274,6 +275,46 @@ def test_pair_scorer_matches_entropy_pairs():
         got = scorer.score(v, u)
         want = entropy.pairs(np.stack([v, u], axis=1))
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def _wide_sparse_graph(n=700, num_features=900, density=0.02, seed=3):
+    rng = np.random.default_rng(seed)
+    features = (rng.random((n, num_features)) < density).astype(np.float64)
+    edges = rng.integers(0, n, size=(3 * n, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return Graph(n, edges, features=features), rng
+
+
+@pytest.mark.parametrize("mode", ["js", "kl"])
+def test_pair_scorer_matches_entropy_pairs_wide_sparse(mode):
+    # Real datasets have ~2%-dense features hundreds of columns wide: the
+    # regime where the scorer's row-span GEMMs replace per-pair gathers.
+    graph, rng = _wide_sparse_graph()
+    n = graph.num_nodes
+    entropy = make_entropy(graph, lam=0.8, mode=mode)
+    # Rows 0-299 pair with 60 partners each: their two row spans are dense
+    # enough for the GEMM path.  Rows 512+ pair with one partner each: a
+    # sparse span scored by row gathers.  Shuffled, with duplicates and
+    # self pairs.
+    dense_v = np.repeat(np.arange(300), 60)
+    dense_u = rng.integers(0, n, dense_v.shape[0])
+    sparse_v = np.arange(512, n)
+    sparse_u = rng.integers(0, n, sparse_v.shape[0])
+    v = np.concatenate([dense_v, sparse_v, dense_v[:500], np.arange(5)])
+    u = np.concatenate([dense_u, sparse_u, dense_u[:500], np.arange(5)])
+    perm = rng.permutation(v.shape[0])
+    v, u = v[perm], u[perm]
+    want = entropy.pairs(np.stack([v, u], axis=1))
+    scorer = PairEntropyScorer.from_entropy(entropy)
+    # The default budget holds a span in one column chunk; 5000 elements
+    # allow 5 partner columns of width 900 per chunk, so each span runs
+    # ~140 chunks.
+    for chunk_elements in (scorer.chunk_elements, 5000):
+        scorer.chunk_elements = chunk_elements
+        np.testing.assert_allclose(scorer.score(v, u), want, rtol=0, atol=1e-12)
+    empty = np.empty(0, dtype=np.int64)
+    assert scorer.score(empty, empty).shape == (0,)
+    assert scorer.feature(empty, empty).shape == (0,)
 
 
 def test_select_topk_flat_order_and_padding():

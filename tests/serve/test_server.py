@@ -109,6 +109,22 @@ def test_concurrent_scores_batch_and_stay_bitwise_equal():
     assert tel.snapshot()["counters"]["serve.batches"] < len(served)
 
 
+def test_invalid_spec_is_a_bad_request_and_the_server_stays_up():
+    async def run():
+        tel = Telemetry(enabled=True)
+        server, client = await _serving(config(), tel=tel)
+        for bad in ({"hidden": 0}, {"num_nodes": 1}, {"k_max": -5}):
+            with pytest.raises(BadRequestError, match="invalid spec"):
+                await client.open_session({**SPEC, **bad})
+        assert (await client.ping())["pong"] is True
+        assert tel.snapshot()["counters"]["serve.errors"] == 3
+        assert "serve.artifact_builds" not in tel.snapshot()["counters"]
+        await client.close()
+        await server.stop()
+
+    asyncio.run(run())
+
+
 def test_unknown_session_and_unknown_op():
     async def run():
         server, client = await _serving(config())

@@ -33,6 +33,47 @@ def test_spec_from_wire_rejects_non_mapping():
         SessionSpec.from_wire(["dataset"])
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"hidden": 0},
+        {"hidden": -4},
+        {"scale": 0.0},
+        {"scale": -0.5},
+        {"lam": -0.1},
+        {"k_max": -5},
+        {"d_max": -1},
+        {"warmup_epochs": -1},
+        {"num_nodes": 1},
+        {"num_nodes": 0},
+        {"max_halo_frac": 0.0},
+        {"max_halo_frac": 1.5},
+        {"hidden": "32"},
+        {"hidden": True},
+        {"lam": float("nan")},
+        {"backbone": "transformer"},
+    ],
+)
+def test_spec_rejects_out_of_range_values(fields):
+    with pytest.raises(BadRequestError, match="invalid spec") as info:
+        SessionSpec.from_wire({"dataset": "synthetic", **fields})
+    assert info.value.to_wire()["code"] == "bad_request"
+    # In-process construction runs the same checks.
+    with pytest.raises(BadRequestError):
+        SessionSpec(dataset="synthetic", **fields)
+
+
+def test_spec_accepts_range_edges():
+    spec = SessionSpec.from_wire({
+        "dataset": "synthetic", "num_nodes": 2, "hidden": 1, "lam": 0,
+        "k_max": 0, "d_max": 0, "warmup_epochs": 0, "max_halo_frac": 1.0,
+        "scale": 1,
+    })
+    assert spec.num_nodes == 2 and spec.max_halo_frac == 1.0
+    # Graph-size fields only constrain synthetic graphs.
+    assert SessionSpec(dataset="cornell", num_nodes=0).num_nodes == 0
+
+
 def test_spec_is_the_artifact_key():
     assert SessionSpec.from_wire({"dataset": "synthetic"}) == SessionSpec(
         dataset="synthetic"

@@ -1,6 +1,8 @@
 """Unit tests for the counter/gauge/histogram registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
@@ -37,6 +39,48 @@ def test_histogram_overflow_bucket():
     assert h.counts[-1] == 1
     # Overflow quantiles interpolate between the last bound and the max.
     assert 1.0 <= h.quantile(0.5) <= 100.0
+
+
+def test_histogram_constant_series_reports_its_value():
+    # An 11 ms series sits in the (10 ms, 25 ms] time bucket; interpolating
+    # to that bucket's edges used to report p50 20.8 ms, above the max.
+    h = Histogram("lat")
+    for _ in range(40):
+        h.observe(0.011)
+    s = h.summary()
+    assert s["p50"] == s["p90"] == s["p99"] == 0.011
+    assert h.quantile(0.0) == h.quantile(1.0) == 0.011
+
+
+_samples = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _samples,
+    st.sampled_from([DEFAULT_TIME_BUCKETS, (0.0, 1.0, 10.0), (-5.0, 5.0)]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.data(),
+)
+def test_histogram_quantile_within_observed_range(values, buckets, q, data):
+    h = Histogram("x", buckets=buckets)
+    for v in values:
+        h.observe(v)
+    est = h.quantile(q)
+    assert min(values) <= est <= max(values)
+    # A merge of two halves holds the same counts, min and max, so it
+    # reports the same quantile.
+    cut = data.draw(st.integers(min_value=0, max_value=len(values)))
+    a, b = Histogram("x", buckets=buckets), Histogram("x", buckets=buckets)
+    for v in values[:cut]:
+        a.observe(v)
+    for v in values[cut:]:
+        b.observe(v)
+    a.merge_state(b.state())
+    assert a.quantile(q) == est
 
 
 def test_histogram_merge_requires_identical_buckets():
